@@ -159,10 +159,14 @@ func (q *QuantileHistogram) Snapshot() QuantileSnapshot {
 	if q == nil {
 		return s
 	}
-	s.Count = q.count.Load()
+	// Count is the sum of the bucket counts read, not the separate
+	// counter: the bucket scan races concurrent observers, and a counter
+	// read apart from it would disagree with the buckets by every
+	// observation the scan overlapped.
 	s.Sum = q.sum.Load()
 	for i := range q.buckets {
 		if n := q.buckets[i].Load(); n != 0 {
+			s.Count += n
 			s.Buckets = append(s.Buckets, QuantileBucket{
 				Index: i, Low: qhBucketLow(i), High: qhBucketHigh(i), Count: n,
 			})

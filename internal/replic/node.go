@@ -1,12 +1,13 @@
 package replic
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"log/slog"
 	"math/rand"
 	"net"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -32,13 +33,16 @@ type Config struct {
 	// PrimaryAddr, when nonempty, starts the node as a follower
 	// streaming from that address; empty starts it as primary.
 	PrimaryAddr string
-	// Sync gates each dedup-enrolled response on the follower having
+	// Sync gates each logged response on the follower having
 	// acknowledged the batch's log group — the zero-acked-op-loss mode.
-	// Without it replication is asynchronous: faster, but ops acked
-	// inside the replication lag are lost if the primary dies.
+	// The connection's writer holds the response; the server goes on
+	// executing later batches meanwhile. Without Sync replication is
+	// asynchronous: faster, but ops acked inside the replication lag
+	// are lost if the primary dies.
 	Sync bool
-	// SyncTimeout bounds the Sync ack wait; past it the node marks
-	// itself Degraded and releases the response anyway (default 2s).
+	// SyncTimeout bounds the Sync ack wait, counted from the batch's
+	// commit; past it the node marks itself Degraded and releases the
+	// response anyway (default 2s).
 	SyncTimeout time.Duration
 	// DialRetry is the follower's reconnect backoff floor (default
 	// 50ms; doubles to 1s).
@@ -147,6 +151,13 @@ type Node struct {
 	// deletes entries as they become contiguous. Owned by the follower
 	// goroutine — no lock.
 	appliedGroups map[uint64]uint64
+
+	// Apply scratch, reused across passes and owned by the follower
+	// goroutine: the ready op records in (shard, LSN) order, and one
+	// shard run's engine ops and results.
+	applyRecs []Record
+	applyOps  []engine.Op
+	applyRes  []engine.Result
 
 	// Telemetry state (follower side): when the last stream frame
 	// arrived (UnixNano) and the highest stream sequence received —
@@ -385,7 +396,7 @@ func (n *Node) Instrument(reg *obs.Registry, prefix string) {
 	reg.GaugeFunc(prefix+"_lag", func() float64 { return float64(n.Lag()) })
 	reg.Help(prefix+"_heartbeat_age_seconds", "follower: seconds since the last stream frame from the primary")
 	reg.GaugeFunc(prefix+"_heartbeat_age_seconds", func() float64 { return n.HeartbeatAge().Seconds() })
-	reg.Help(prefix+"_ack_latency_ns", "sync-mode response gating: how long a response waited for its follower ack")
+	reg.Help(prefix+"_ack_latency_ns", "sync-mode response gating: how long the connection writer waited for a response's follower ack")
 	n.ackLatency = reg.QuantileHistogram(prefix + "_ack_latency_ns")
 	reg.Help(prefix+"_reorder_depth", "groups buffered out of LSN order after each apply pass")
 	n.reorderDepth = reg.Histogram(prefix+"_reorder_depth",
@@ -408,13 +419,29 @@ func b2f(v bool) float64 {
 // Primary side: batch tap, sync gating, follower streams.
 
 // onBatch is the wire server's batch tap: turn one executed request
-// into an atomic log group — its successful ops' records, then (for
-// enrolled sessions) the dedup record — and, in synchronous mode,
-// return the ack gate for the response.
+// into an atomic log group and, in synchronous mode, return the ack
+// gate for the response. The gate's wait is bounded by SyncTimeout
+// from the commit, not from when the writer reaches it, so responses
+// queued behind one stalled gate do not each wait out a full timeout.
 func (n *Node) onBatch(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func() {
 	if n.role.Load() != rolePrimary {
 		return nil
 	}
+	group := groupRecords(session, reqID, ops, results, resp)
+	if len(group) == 0 {
+		return nil
+	}
+	seq := n.log.AppendGroup(group)
+	if !n.cfg.Sync || n.followers.Load() == 0 {
+		return nil
+	}
+	deadline := time.Now().Add(n.cfg.SyncTimeout)
+	return func() { n.waitAck(seq, deadline) }
+}
+
+// groupRecords builds one executed request's log group: its successful
+// ops' records, then (for enrolled sessions) the dedup record.
+func groupRecords(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) []Record {
 	group := make([]Record, 0, len(ops)+1)
 	for i, r := range results {
 		if r.Err != nil {
@@ -442,20 +469,13 @@ func (n *Node) onBatch(session, reqID uint64, ops []engine.Op, results []engine.
 			Resp:    append([]byte(nil), resp...),
 		})
 	}
-	if len(group) == 0 {
-		return nil
-	}
-	seq := n.log.AppendGroup(group)
-	if !n.cfg.Sync || n.followers.Load() == 0 {
-		return nil
-	}
-	return func() { n.waitAck(seq) }
+	return group
 }
 
-// waitAck blocks until a follower acknowledges seq or SyncTimeout
+// waitAck blocks until a follower acknowledges seq or the deadline
 // passes (which marks the node Degraded: the response is released
 // without proof of replication).
-func (n *Node) waitAck(seq uint64) {
+func (n *Node) waitAck(seq uint64, deadline time.Time) {
 	if n.ackLatency != nil {
 		start := time.Now()
 		defer func() { n.ackLatency.Observe(uint64(time.Since(start))) }()
@@ -473,7 +493,7 @@ func (n *Node) waitAck(seq uint64) {
 	w := ackWaiter{seq: seq, ch: make(chan struct{})}
 	n.waiters = append(n.waiters, w)
 	n.amu.Unlock()
-	t := time.NewTimer(n.cfg.SyncTimeout)
+	t := time.NewTimer(time.Until(deadline))
 	defer t.Stop()
 	select {
 	case <-w.ch:
@@ -979,10 +999,11 @@ func (n *Node) applyReady(buffered []grp) ([]grp, error) {
 			break
 		}
 	}
-	// Apply the ready set's ops per shard in LSN order. An op at or
-	// below the applied frontier is a replay of a group whose apply a
-	// stream death cut short — skip it; the group still completes now.
-	var toApply []Record
+	// Apply the ready set's ops per shard in LSN order, one engine call
+	// per shard run. An op at or below the applied frontier is a replay
+	// of a group whose apply a stream death cut short — skip it; the
+	// group still completes now.
+	toApply := n.applyRecs[:0]
 	for i, g := range buffered {
 		if !ready[i] {
 			continue
@@ -993,18 +1014,24 @@ func (n *Node) applyReady(buffered []grp) ([]grp, error) {
 			}
 		}
 	}
-	sort.Slice(toApply, func(a, b int) bool {
-		if toApply[a].Shard != toApply[b].Shard {
-			return toApply[a].Shard < toApply[b].Shard
+	slices.SortFunc(toApply, func(a, b Record) int {
+		if c := cmp.Compare(a.Shard, b.Shard); c != 0 {
+			return c
 		}
-		return toApply[a].LSN < toApply[b].LSN
+		return cmp.Compare(a.LSN, b.LSN)
 	})
-	for _, r := range toApply {
-		if err := n.applyOne(r); err != nil {
+	for lo := 0; lo < len(toApply); {
+		hi := lo + 1
+		for hi < len(toApply) && toApply[hi].Shard == toApply[lo].Shard {
+			hi++
+		}
+		if err := n.applyRun(toApply[lo:hi]); err != nil {
 			return nil, err
 		}
+		lo = hi
 	}
 	n.recordsInc.Add(uint64(len(toApply)))
+	n.applyRecs = toApply[:0]
 	// Every ready group is now fully in the engine: log it, install its
 	// dedup entry, and record it for frontier advance.
 	rest := buffered[:0]
@@ -1025,30 +1052,40 @@ func (n *Node) applyReady(buffered []grp) ([]grp, error) {
 	return rest, nil
 }
 
-// applyOne applies one op record to the follower's engine and checks
-// the result against the primary's: same LSN, and for pops the same
-// element. Any mismatch is divergence — fatal for the stream.
-func (n *Node) applyOne(rec Record) error {
-	var ops [1]engine.Op
-	if rec.Op == OpPush {
-		ops[0] = engine.PushOp(core.Element{Value: rec.Value, Meta: rec.Meta})
-	} else {
-		ops[0] = engine.PopOp()
+// applyRun applies one shard's run of op records, in LSN order, with a
+// single engine call, then checks every result against the primary's:
+// same LSN, and for pops the same element. Any mismatch is divergence —
+// fatal for the stream.
+func (n *Node) applyRun(run []Record) error {
+	shard := run[0].Shard
+	ops := n.applyOps[:0]
+	for _, rec := range run {
+		if rec.Op == OpPush {
+			ops = append(ops, engine.PushOp(core.Element{Value: rec.Value, Meta: rec.Meta}))
+		} else {
+			ops = append(ops, engine.PopOp())
+		}
 	}
-	var res [1]engine.Result
-	if err := n.eng.ApplyReplica(int(rec.Shard), ops[:], res[:]); err != nil {
+	n.applyOps = ops
+	if cap(n.applyRes) < len(ops) {
+		n.applyRes = make([]engine.Result, len(ops))
+	}
+	res := n.applyRes[:len(ops)]
+	if err := n.eng.ApplyReplica(int(shard), ops, res); err != nil {
 		return err
 	}
-	r := res[0]
-	if r.Err != nil {
-		return fmt.Errorf("replic: apply shard %d lsn %d: %w", rec.Shard, rec.LSN, r.Err)
-	}
-	if r.LSN != rec.LSN {
-		return fmt.Errorf("replic: shard %d applied lsn %d, primary says %d", rec.Shard, r.LSN, rec.LSN)
-	}
-	if rec.Op == OpPop && (r.Elem.Value != rec.Value || r.Elem.Meta != rec.Meta) {
-		return fmt.Errorf("replic: divergence: shard %d lsn %d popped (%d,%d), primary popped (%d,%d)",
-			rec.Shard, rec.LSN, r.Elem.Value, r.Elem.Meta, rec.Value, rec.Meta)
+	for i, rec := range run {
+		r := res[i]
+		if r.Err != nil {
+			return fmt.Errorf("replic: apply shard %d lsn %d: %w", shard, rec.LSN, r.Err)
+		}
+		if r.LSN != rec.LSN {
+			return fmt.Errorf("replic: shard %d applied lsn %d, primary says %d", shard, r.LSN, rec.LSN)
+		}
+		if rec.Op == OpPop && (r.Elem.Value != rec.Value || r.Elem.Meta != rec.Meta) {
+			return fmt.Errorf("replic: divergence: shard %d lsn %d popped (%d,%d), primary popped (%d,%d)",
+				shard, rec.LSN, r.Elem.Value, r.Elem.Meta, rec.Value, rec.Meta)
+		}
 	}
 	return nil
 }

@@ -65,8 +65,13 @@ func (c ServerConfig) withDefaults() ServerConfig {
 // It is the replication tap — the node layer turns each call into an
 // atomic log group. The ops/results slices are reused across requests;
 // implementations must copy what they keep. A non-nil returned func is
-// awaited before the response is released to the client (synchronous
-// replication gating).
+// the response's gate (synchronous replication): the connection's
+// writer calls it, in response order, and releases the response only
+// once it returns. The reader does not wait for it, so later requests
+// on the connection execute while earlier ones await their ack. A gate
+// may be called more than once — a retry answered from the dedup cache
+// is released through its original's gate — and must return promptly
+// once it has opened.
 type BatchHook func(session, reqID uint64, ops []engine.Op, results []engine.Result, resp []byte) func()
 
 // AdminHandler answers TAdmin frames. ReplHandler takes ownership of a
@@ -198,7 +203,7 @@ func (s *Server) InstallDedup(session, reqID uint64, resp []byte) {
 	}
 	sess := s.dedup.get(session)
 	sess.mu.Lock()
-	sess.put(reqID, resp, s.cfg.DedupWindow)
+	sess.put(reqID, resp, nil, s.cfg.DedupWindow)
 	sess.mu.Unlock()
 }
 
@@ -266,12 +271,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 
 // response is one encoded frame headed for a connection's writer. sp,
 // when non-nil, is the request's trace span: the writer stamps
-// StageWrite once the bytes hit the socket and finishes the span.
+// StageWrite once the bytes hit the socket and finishes the span. gate,
+// when non-nil, is the BatchHook gate the writer opens (stamping
+// StageAck) before the frame may leave.
 type response struct {
 	typ     Type
 	id      uint64
 	payload []byte
 	sp      *obs.Span
+	gate    func()
 }
 
 // serveConn runs one connection's read-execute loop plus its coalescing
@@ -352,7 +360,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				Version:  Version,
 				Shards:   uint32(s.eng.Shards()),
 				Capacity: uint64(s.eng.Cap()),
-			}), nil}
+			}), nil, nil}
 		case TBatch:
 			if !s.serving.Load() {
 				sendErr(out, f.ID, StatusNotPrimary, errors.New("replication follower: not serving queue traffic"))
@@ -370,11 +378,14 @@ func (s *Server) serveConn(conn net.Conn) {
 			// response verbatim — a fabricated overload refusal would
 			// send the client back to re-issue ops that already
 			// applied. Serving the cache is cheap and executes nothing.
+			// A hit leaves through its original's gate: the original
+			// may still await its follower ack, and a retry must not
+			// be a way for an unreplicated response to escape.
 			if sess != nil {
 				sess.mu.Lock()
-				if resp, ok := sess.cache[f.ID]; ok {
+				if hit, ok := sess.cache[f.ID]; ok {
 					sess.mu.Unlock()
-					out <- response{TBatchOK, f.ID, resp, sp}
+					out <- response{TBatchOK, f.ID, hit.resp, sp, hit.gate}
 					continue
 				}
 				if f.ID <= sess.evictedMax {
@@ -392,7 +403,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				if sess != nil {
 					sess.mu.Unlock()
 				}
-				out <- response{TBatchOK, f.ID, appendShedResults(nil, len(wireOps)), sp}
+				out <- response{TBatchOK, f.ID, appendShedResults(nil, len(wireOps)), sp, nil}
 				continue
 			}
 			// Front-door triage: ownership-refused pushes and peeks are
@@ -455,24 +466,25 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			payload := make([]byte, 0, 4+len(wres)*resultSize)
 			payload = AppendResults(payload, wres)
-			var wait func()
+			var gate func()
 			if s.onBatch != nil {
-				wait = s.onBatch(session, f.ID, ops, results, payload)
+				gate = s.onBatch(session, f.ID, ops, results, payload)
 			}
 			// Commit and ack are stamped unconditionally: without a
 			// replication/WAL hook (or without sync mode) they are
 			// zero-width segments, keeping all eight stage histograms
 			// populated so dashboards need no per-mode special cases.
+			// A gated response's ack is stamped by the writer when
+			// its gate opens.
 			sp.Stamp(obs.StageCommit)
 			if sess != nil {
-				sess.put(f.ID, payload, s.cfg.DedupWindow)
+				sess.put(f.ID, payload, gate, s.cfg.DedupWindow)
 				sess.mu.Unlock()
 			}
-			if wait != nil {
-				wait()
+			if gate == nil {
+				sp.Stamp(obs.StageAck)
 			}
-			sp.Stamp(obs.StageAck)
-			out <- response{TBatchOK, f.ID, payload, sp}
+			out <- response{TBatchOK, f.ID, payload, sp, gate}
 		case TAdmin:
 			cmd, err := ParseAdmin(f.Payload)
 			if err != nil {
@@ -484,7 +496,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				sendErr(out, f.ID, StatusInvalid, err)
 				return
 			}
-			out <- response{TAdminOK, f.ID, AppendAdminInfo(nil, info), nil}
+			out <- response{TAdminOK, f.ID, AppendAdminInfo(nil, info), nil, nil}
 		case TClusterHello:
 			if s.onClusterHello == nil {
 				sendErr(out, f.ID, StatusInvalid, errors.New("cluster serving not enabled"))
@@ -495,7 +507,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				sendErr(out, f.ID, StatusInvalid, err)
 				return
 			}
-			out <- response{TClusterMap, f.ID, s.onClusterHello(since), nil}
+			out <- response{TClusterMap, f.ID, s.onClusterHello(since), nil, nil}
 		case TClusterMap:
 			if s.onClusterSink == nil {
 				sendErr(out, f.ID, StatusInvalid, errors.New("cluster serving not enabled"))
@@ -504,7 +516,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// The sink decides adoption; the reply (possibly empty)
 			// carries the local map back when it is the newer one, so a
 			// single gossip exchange converges both peers.
-			out <- response{TClusterMap, f.ID, s.onClusterSink(f.Payload), nil}
+			out <- response{TClusterMap, f.ID, s.onClusterSink(f.Payload), nil, nil}
 		case TReplFetch:
 			if s.onFetch == nil {
 				sendErr(out, f.ID, StatusInvalid, errors.New("anti-entropy fetch not enabled"))
@@ -515,7 +527,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				sendErr(out, f.ID, StatusInvalid, err)
 				continue
 			}
-			out <- response{TReplChunk, f.ID, resp, nil}
+			out <- response{TReplChunk, f.ID, resp, nil, nil}
 		case TReplHello:
 			if s.onRepl == nil {
 				sendErr(out, f.ID, StatusInvalid, errors.New("replication not enabled"))
@@ -587,20 +599,40 @@ func statusOf(err error) Status {
 func sendErr(out chan<- response, id uint64, code Status, err error) {
 	payload := append([]byte{byte(code)}, err.Error()...)
 	select {
-	case out <- response{TError, id, payload, nil}:
+	case out <- response{TError, id, payload, nil, nil}:
 	default:
 	}
 }
 
 // writeLoop is the per-connection coalescing writer: take one
 // response, then opportunistically drain everything else already
-// queued into the same buffer, write once. Each flushed response's
-// span gets its StageWrite stamp after the socket write and is
-// finished (aggregated, sampled, pooled) here.
+// queued into the same buffer, write once. Responses leave in queue
+// order. A gated one is held until its gate opens; the frames buffered
+// ahead of it are flushed first, so they never wait on an ack that
+// does not cover them. Each flushed response's span gets its
+// StageWrite stamp after the socket write and is finished (aggregated,
+// sampled, pooled) here.
 func writeLoop(conn net.Conn, out <-chan response, writeTimeout time.Duration, tracer *obs.Tracer) {
 	buf := make([]byte, 0, 64<<10)
-	var spans []*obs.Span
-	for r := range out {
+	var (
+		spans []*obs.Span
+		held  response // a gated response that ended the last coalesce
+		hold  bool
+	)
+	for {
+		var r response
+		if hold {
+			r, held, hold = held, response{}, false
+		} else {
+			var ok bool
+			if r, ok = <-out; !ok {
+				return
+			}
+		}
+		if r.gate != nil {
+			r.gate()
+			r.sp.Stamp(obs.StageAck)
+		}
 		buf = AppendFrame(buf[:0], r.typ, r.id, r.payload)
 		spans = spans[:0]
 		if r.sp != nil {
@@ -611,6 +643,10 @@ func writeLoop(conn net.Conn, out <-chan response, writeTimeout time.Duration, t
 			select {
 			case more, ok := <-out:
 				if !ok {
+					break coalesce
+				}
+				if more.gate != nil {
+					held, hold = more, true
 					break coalesce
 				}
 				buf = AppendFrame(buf, more.typ, more.id, more.payload)
@@ -627,9 +663,13 @@ func writeLoop(conn net.Conn, out <-chan response, writeTimeout time.Duration, t
 		if _, err := conn.Write(buf); err != nil {
 			// Reader will notice the dead conn; just stop writing.
 			// Finish pending spans unstamped — their last stage stays
-			// wherever execution got to.
+			// wherever execution got to. No gate is opened: nothing
+			// more leaves on this connection.
 			for _, sp := range spans {
 				tracer.Finish(sp)
+			}
+			if hold {
+				tracer.Finish(held.sp)
 			}
 			for r := range out {
 				tracer.Finish(r.sp)
@@ -651,19 +691,26 @@ func writeLoop(conn net.Conn, out <-chan response, writeTimeout time.Duration, t
 // retry racing its original safe.
 type sessionState struct {
 	mu         sync.Mutex
-	cache      map[uint64][]byte
+	cache      map[uint64]cachedResp
 	order      []uint64
 	evictedMax uint64
 	lastSeen   atomic.Int64 // unix nanos
 }
 
-// put caches a response, evicting the oldest entries past the window.
-// Callers hold mu.
-func (ss *sessionState) put(id uint64, resp []byte, window int) {
+// cachedResp is one dedup entry: the encoded response and the gate its
+// original was released through (nil when ungated).
+type cachedResp struct {
+	resp []byte
+	gate func()
+}
+
+// put caches a response with its gate, evicting the oldest entries past
+// the window. Callers hold mu.
+func (ss *sessionState) put(id uint64, resp []byte, gate func(), window int) {
 	if _, ok := ss.cache[id]; ok {
 		return
 	}
-	ss.cache[id] = resp
+	ss.cache[id] = cachedResp{resp, gate}
 	ss.order = append(ss.order, id)
 	for len(ss.cache) > window {
 		old := ss.order[0]
@@ -702,7 +749,7 @@ func (t *dedupTable) get(session uint64) *sessionState {
 				delete(t.sessions, id)
 			}
 		}
-		ss = &sessionState{cache: map[uint64][]byte{}}
+		ss = &sessionState{cache: map[uint64]cachedResp{}}
 		t.sessions[session] = ss
 	}
 	t.mu.Unlock()

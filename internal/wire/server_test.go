@@ -160,3 +160,77 @@ func TestPipelinedClients(t *testing.T) {
 		return true
 	})
 }
+
+// TestGatedResponsesLeaveInOrder pipelines three batches on one
+// connection behind BatchHook gates: the first two gated, the third
+// ungated. Every batch must execute without waiting on a gate, nothing
+// may leave while the first gate is shut — even once the second has
+// opened — and the responses must leave in request order.
+func TestGatedResponsesLeaveInOrder(t *testing.T) {
+	e, err := engine.New(engine.Config{Shards: 1, Order: 2, Levels: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	srv := NewServer(e)
+	gates := map[uint64]chan struct{}{1: make(chan struct{}), 2: make(chan struct{})}
+	srv.SetBatchHook(func(_, reqID uint64, _ []engine.Op, _ []engine.Result, _ []byte) func() {
+		if ch, ok := gates[reqID]; ok {
+			return func() { <-ch }
+		}
+		return nil
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}()
+
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if err := WriteFrame(conn, THello, 0, AppendHello(nil, 0)); err != nil {
+		t.Fatal(err)
+	}
+	if f, err := ReadFrame(conn); err != nil || f.Type != THelloOK {
+		t.Fatalf("handshake: %+v %v", f, err)
+	}
+	for id := uint64(1); id <= 3; id++ {
+		if err := WriteFrame(conn, TBatch, id, AppendOps(nil, []Op{{Kind: OpPush, Value: id, Meta: id}})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for e.ShardLSN(0) != 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("executed %d of 3 batches behind a shut gate", e.ShardLSN(0))
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	close(gates[2])
+	conn.SetReadDeadline(time.Now().Add(150 * time.Millisecond))
+	if f, err := ReadFrame(conn); err == nil {
+		t.Fatalf("response id %d left while the first gate was shut", f.ID)
+	}
+	// Nothing was sent, so the timed-out read consumed nothing.
+	close(gates[1])
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for id := uint64(1); id <= 3; id++ {
+		f, err := ReadFrame(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.Type != TBatchOK || f.ID != id {
+			t.Fatalf("response %d: type %d id %d", id, f.Type, f.ID)
+		}
+	}
+}
